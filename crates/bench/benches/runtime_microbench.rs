@@ -3,7 +3,9 @@
 //! * `mtx_iteration` — begin/end cycle of an empty iteration through the
 //!   full system (workers + try-commit + commit) per pipeline shape;
 //! * `coa_page_fetch` — first-touch Copy-On-Access page transfers;
-//! * `spec_mem_ops` — speculative load/store against a resident page;
+//! * `spec_mem_ops` — speculative load/store against a resident page,
+//!   a one-access-per-page scatter over 32 resident pages, and a bulk
+//!   store into the committed image;
 //! * `uva_alloc` — region allocator throughput;
 //! * `recovery` — a full run whose every 8th iteration misspeculates;
 //! * `hot_path_hasher` — std SipHash vs the vendored Fx hasher on the
@@ -126,6 +128,35 @@ fn bench_spec_mem_ops(c: &mut Criterion) {
                 assert_eq!(mem.read(addr, fetch).unwrap(), i);
             }
             mem.drain_log().len()
+        });
+    });
+    // One access per page over 32 pages: every access misses the page
+    // table's direct-mapped lookup cache and takes the index path.
+    const SCATTER_PAGES: u64 = 32;
+    let scatter = heap.alloc_pages(SCATTER_PAGES).expect("alloc");
+    group.bench_function("page_scatter_resident", |b| {
+        let fetch = |_: PageId| -> Result<Page, std::convert::Infallible> { Ok(Page::zeroed()) };
+        let mut mem = SpecMem::new();
+        for p in 0..SCATTER_PAGES {
+            mem.write(scatter.add_words(p * 512), 0, fetch).unwrap();
+        }
+        b.iter(|| {
+            mem.drain_log();
+            for i in 0..OPS {
+                let addr = scatter.add_words((i % SCATTER_PAGES) * 512 + (i / SCATTER_PAGES) % 512);
+                mem.write(addr, i, fetch).unwrap();
+            }
+            mem.log().len()
+        });
+    });
+    // Committed-image set-up as the workloads build it: a bulk store of
+    // OPS consecutive words from an unaligned start, page by page.
+    let data: Vec<u64> = (0..OPS).collect();
+    group.bench_function("master_bulk_store", |b| {
+        let mut master = MasterMem::new();
+        b.iter(|| {
+            master.write_words(base.add_words(3), &data);
+            master.drain_dirty().count()
         });
     });
     group.finish();

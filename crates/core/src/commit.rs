@@ -21,7 +21,7 @@ use dsmtx_uva::{PageId, VAddr};
 use fxhash::FxHashMap;
 
 use crate::config::PipelineShape;
-use crate::control::{ControlPlane, Interrupt, Status};
+use crate::control::{ControlPlane, Interrupt, Status, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
 use crate::poll::Backoff;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
@@ -125,7 +125,7 @@ impl CommitUnit {
         // Pre-loop sequential writes are the epoch-0 baseline: a page
         // absent from `page_epochs` reads as modified-at-0, so the dirty
         // set they left behind carries no information — discard it.
-        let _ = master.take_dirty();
+        let _ = master.drain_dirty();
         CommitUnit {
             shape: w.shape,
             ctrl: w.ctrl,
@@ -153,7 +153,7 @@ impl CommitUnit {
     /// stamps every page the batch touched.
     fn advance_epoch(&mut self) {
         self.commit_epoch += 1;
-        for page in self.master.take_dirty() {
+        for page in self.master.drain_dirty() {
             self.page_epochs.insert(page, self.commit_epoch);
         }
     }
@@ -166,7 +166,7 @@ impl CommitUnit {
             return (self.master, self.counters);
         }
         let mut backoff = Backoff::new();
-        let mut epoch = self.ctrl.epoch();
+        let mut epoch = EPOCH_UNSEEN;
         loop {
             // The commit unit is normally the only status writer, but a
             // thread that found its channel dead publishes the typed
@@ -413,10 +413,8 @@ impl CommitUnit {
                 .expect("checked above")
                 .into_iter()
                 .map(|(a, v)| (VAddr::from_raw(a), v))
-                .collect::<Vec<_>>()
         });
-        self.master
-            .commit_writes_parallel(writes.collect::<Vec<_>>());
+        self.master.commit_writes(writes);
         self.advance_epoch();
         self.counters.committed += 1;
         self.counters.last_iteration = Some(m);

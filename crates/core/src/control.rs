@@ -16,6 +16,14 @@ use dsmtx_fabric::Barrier;
 
 use crate::ids::MtxId;
 
+/// A seen-epoch value that no published epoch equals: a role holding it
+/// reads the status word on its next [`ControlPlane::poll`]. Roles start
+/// from it rather than from the epoch at their thread's start, so a
+/// status published before a role first polls (a misspeculation on the
+/// very first iteration) still reaches it; they return to it after each
+/// recovery rendezvous.
+pub(crate) const EPOCH_UNSEEN: u64 = u64::MAX;
+
 /// Global execution phase, as published by the commit unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
@@ -238,6 +246,23 @@ mod tests {
             cp.interrupt(),
             Some(Interrupt::Recovery { boundary: MtxId(5) })
         );
+    }
+
+    #[test]
+    fn a_role_that_starts_after_a_publish_still_sees_it() {
+        let cp = ControlPlane::new(1);
+        cp.publish(Status::Recovering { boundary: MtxId(0) });
+        let mut seen = EPOCH_UNSEEN;
+        assert_eq!(
+            cp.poll(&mut seen),
+            Some(Interrupt::Recovery { boundary: MtxId(0) })
+        );
+        assert_eq!(seen, cp.epoch());
+        // While running, the first poll reads the status and finds nothing.
+        let running = ControlPlane::new(1);
+        let mut seen = EPOCH_UNSEEN;
+        assert_eq!(running.poll(&mut seen), None);
+        assert_eq!(seen, running.epoch());
     }
 
     #[test]

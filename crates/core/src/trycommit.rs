@@ -37,7 +37,7 @@ use dsmtx_uva::{PageId, VAddr};
 use fxhash::FxHashMap;
 
 use crate::config::PipelineShape;
-use crate::control::{ControlPlane, Interrupt};
+use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
 use crate::poll::{wait_for, wait_for_deadline, Backoff};
 use crate::trace::{Role, TraceKind, TraceSink};
@@ -158,14 +158,13 @@ pub(crate) struct TryCommitWiring {
 
 impl TryCommitUnit {
     pub(crate) fn new(w: TryCommitWiring) -> Self {
-        let epoch = w.ctrl.epoch();
         let data_timeout = w.shape.recv_deadline();
         TryCommitUnit {
             shape: w.shape,
             ctrl: w.ctrl,
             trace: w.trace,
             shard: w.shard,
-            epoch,
+            epoch: EPOCH_UNSEEN,
             data_timeout,
             image: SpecMem::new(),
             val_in: w.val_in,
@@ -476,7 +475,7 @@ impl TryCommitUnit {
         self.cursor_stage = StageId(0);
         self.poisoned = false;
         barrier.wait(); // B3
-        self.epoch = u64::MAX;
+        self.epoch = EPOCH_UNSEEN;
     }
 }
 

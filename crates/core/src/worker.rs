@@ -27,7 +27,7 @@ use dsmtx_mem::{route, AccessKind, AccessRecord, Page, PageCache, ShardMap, Spec
 use dsmtx_uva::{PageId, RegionAllocator, VAddr};
 
 use crate::config::PipelineShape;
-use crate::control::{ControlPlane, Interrupt};
+use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
 use crate::poll::{wait_for, wait_for_deadline};
 use crate::program::{IterOutcome, StageFn};
@@ -299,7 +299,6 @@ impl WorkerCtx {
     pub(crate) fn new(w: WorkerWiring) -> Self {
         let stage = w.shape.stage_of(w.worker);
         let n_stages = w.shape.n_stages() as usize;
-        let epoch = w.ctrl.epoch();
         let data_timeout = w.shape.recv_deadline();
         let compaction = w.shape.compaction();
         let shard_map = w.shape.shard_map().cloned();
@@ -311,7 +310,7 @@ impl WorkerCtx {
             shape: w.shape,
             ctrl: w.ctrl,
             trace: w.trace,
-            epoch,
+            epoch: EPOCH_UNSEEN,
             data_timeout,
             spec: SpecMem::new(),
             heap: w.heap,
@@ -1085,8 +1084,7 @@ impl WorkerCtx {
         // from committed memory instead of waiting for a frame.
         self.ring_skip = Some(boundary.next());
         barrier.wait(); // B3: the commit unit re-executed; recommence.
-                        // Force the next poll to re-read the status word.
-        self.epoch = u64::MAX;
+        self.epoch = EPOCH_UNSEEN;
     }
 
     /// COA installs performed by this worker so far.

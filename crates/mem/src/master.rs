@@ -5,18 +5,22 @@
 //! truth (§3.1). Pages are created zero-filled on first write (demand
 //! zero); [`MasterMem::page`] serves Copy-On-Access requests.
 //!
+//! Bulk paths work a page at a time: [`MasterMem::write_words`] and
+//! [`MasterMem::read_words`] pay one page lookup per page spanned, and
+//! [`MasterMem::commit_writes`] one per run of same-page writes, instead
+//! of one per word.
+//!
 //! The page map is internally partitioned by [`shard_of`] into a fixed
-//! number of sub-maps so that group commit can apply a large write-set in
-//! parallel ([`MasterMem::commit_writes_parallel`]): each helper thread
-//! owns a disjoint partition of `PageId` space, mirroring how the paper's
-//! §3.2 parallel commit units each own part of the address space. The
-//! partition count is an interior detail — reads and sequential commits
-//! behave exactly as a single flat map would.
+//! number of sub-maps, a layout left from an earlier parallel group
+//! commit. Reads and writes behave exactly as a single flat map would.
+//! The per-word [`MasterMem::read`]/[`MasterMem::write`] path is also
+//! what sequential baselines run on, so flattening the map, which would
+//! speed it up, belongs with a change that re-baselines them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use dsmtx_uva::{PageId, VAddr};
+use dsmtx_uva::{PageId, VAddr, PAGE_WORDS};
 use fxhash::{FxHashMap, FxHashSet};
 
 use crate::page::Page;
@@ -26,17 +30,13 @@ use crate::spec::{AccessKind, AccessRecord};
 /// Fixed interior partition count of the committed page map.
 const INTERNAL_SHARDS: usize = 8;
 
-/// Write-set size below which parallel apply is pure overhead: spawning a
-/// scoped thread costs far more than hashing a few thousand words.
-const PARALLEL_APPLY_MIN_WRITES: usize = 4096;
-
 /// Committed memory: the image COA fetches from and group commit updates.
 #[derive(Debug)]
 pub struct MasterMem {
     /// `PageId` space hash-partitioned by `shard_of(page, INTERNAL_SHARDS)`.
     shards: Vec<FxHashMap<PageId, Page>>,
     commits_applied: u64,
-    /// Pages written since the last [`MasterMem::take_dirty`] drain. The
+    /// Pages written since the last [`MasterMem::drain_dirty`]. The
     /// commit unit turns these into per-page COA epoch stamps so worker
     /// page caches can be revalidated without shipping page payloads.
     dirty: FxHashSet<PageId>,
@@ -51,6 +51,34 @@ pub struct MasterMem {
     /// `Sync` and `Debug` without extra bounds; the recorder is the only
     /// contender, so the lock is always uncontended.
     recorded: Mutex<Vec<AccessRecord>>,
+}
+
+/// Splits the `len` words from `base` into per-page runs: `(page, first
+/// word in page, offset into the run's data, run length)`.
+///
+/// # Panics
+///
+/// Panics, as [`VAddr::add_words`] does, if the words leave `base`'s
+/// owner region.
+fn page_runs(base: VAddr, len: usize) -> impl Iterator<Item = (PageId, usize, usize, usize)> {
+    if let Some(last) = len.checked_sub(1) {
+        base.add_words(last as u64);
+    }
+    let first_page = base.page();
+    let first_word = base.word_in_page();
+    let page_words = PAGE_WORDS as usize;
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let word = (first_word + done) % page_words;
+        let page = PageId(first_page.0 + ((first_word + done) / page_words) as u64);
+        let n = (len - done).min(page_words - word);
+        let run = (page, word, done, n);
+        done += n;
+        Some(run)
+    })
 }
 
 impl Default for MasterMem {
@@ -95,12 +123,63 @@ impl MasterMem {
         if self.recording.load(Ordering::Relaxed) {
             self.log(AccessKind::Store, addr, value);
         }
-        let id = addr.page();
+        self.page_mut(addr.page())
+            .set_word(addr.word_in_page(), value);
+    }
+
+    /// The page `id` for writing, created on demand and marked dirty.
+    #[inline]
+    fn page_mut(&mut self, id: PageId) -> &mut Page {
         self.dirty.insert(id);
         self.shards[shard_of(id, INTERNAL_SHARDS)]
             .entry(id)
             .or_default()
-            .set_word(addr.word_in_page(), value);
+    }
+
+    /// Writes `data` to consecutive words from `base`: the same effect as
+    /// one [`MasterMem::write`] per word, with one page lookup per page.
+    /// While recording, it takes the per-word path so every store is
+    /// logged.
+    ///
+    /// # Panics
+    ///
+    /// Panics, like per-word writes would, if the run leaves `base`'s
+    /// owner region.
+    pub fn write_words(&mut self, base: VAddr, data: &[u64]) {
+        if self.is_recording() {
+            for (i, &w) in data.iter().enumerate() {
+                self.write(base.add_words(i as u64), w);
+            }
+            return;
+        }
+        for (page, word, at, n) in page_runs(base, data.len()) {
+            self.page_mut(page).words_mut()[word..word + n].copy_from_slice(&data[at..at + n]);
+        }
+    }
+
+    /// Fills `out` with consecutive words from `base`: the same values as
+    /// one [`MasterMem::read`] per word, with one page lookup per page.
+    /// While recording, it takes the per-word path so every load is
+    /// logged.
+    ///
+    /// # Panics
+    ///
+    /// Panics, like per-word reads would, if the run leaves `base`'s
+    /// owner region.
+    pub fn read_words(&self, base: VAddr, out: &mut [u64]) {
+        if self.is_recording() {
+            for (i, w) in out.iter_mut().enumerate() {
+                *w = self.read(base.add_words(i as u64));
+            }
+            return;
+        }
+        for (page, word, at, n) in page_runs(base, out.len()) {
+            let dst = &mut out[at..at + n];
+            match self.map_of(page).get(&page) {
+                Some(p) => dst.copy_from_slice(&p.words()[word..word + n]),
+                None => dst.fill(0),
+            }
+        }
     }
 
     #[cold]
@@ -140,49 +219,27 @@ impl MasterMem {
 
     /// Applies one MTX's write-set in program order (group transaction
     /// commit): when a location is stored by several subTXs, the last
-    /// update takes effect.
+    /// update takes effect. A run of writes to one page pays one page
+    /// lookup.
     pub fn commit_writes<I>(&mut self, writes: I)
     where
         I: IntoIterator<Item = (VAddr, u64)>,
     {
-        for (addr, value) in writes {
-            self.write(addr, value);
-        }
-        self.commits_applied += 1;
-    }
-
-    /// Like [`MasterMem::commit_writes`], but applies the interior page
-    /// partitions on scoped helper threads when the write-set is large
-    /// enough to amortize the spawns.
-    ///
-    /// Equivalent to the sequential path bit for bit: partitioning by page
-    /// keeps every address's updates on one thread in program order, so
-    /// last-writer-wins is preserved, and distinct partitions touch
-    /// disjoint pages.
-    pub fn commit_writes_parallel(&mut self, writes: Vec<(VAddr, u64)>) {
-        if writes.len() < PARALLEL_APPLY_MIN_WRITES {
-            self.commit_writes(writes);
-            return;
-        }
-        let mut buckets: Vec<Vec<(VAddr, u64)>> = vec![Vec::new(); INTERNAL_SHARDS];
-        for (addr, value) in writes {
-            self.dirty.insert(addr.page());
-            buckets[shard_of(addr.page(), INTERNAL_SHARDS)].push((addr, value));
-        }
-        std::thread::scope(|scope| {
-            for (map, bucket) in self.shards.iter_mut().zip(buckets) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    for (addr, value) in bucket {
-                        map.entry(addr.page())
-                            .or_default()
-                            .set_word(addr.word_in_page(), value);
-                    }
-                });
+        if self.is_recording() {
+            for (addr, value) in writes {
+                self.write(addr, value);
             }
-        });
+        } else {
+            let mut writes = writes.into_iter().peekable();
+            while let Some((addr, value)) = writes.next() {
+                let id = addr.page();
+                let page = self.page_mut(id);
+                page.set_word(addr.word_in_page(), value);
+                while let Some((addr, value)) = writes.next_if(|(a, _)| a.page() == id) {
+                    page.set_word(addr.word_in_page(), value);
+                }
+            }
+        }
         self.commits_applied += 1;
     }
 
@@ -191,12 +248,13 @@ impl MasterMem {
         self.commits_applied
     }
 
-    /// Drains the set of pages written since the previous drain. The
-    /// commit unit calls this after every mutation batch (group commit,
-    /// recovery re-execution) to stamp the pages with the current commit
-    /// epoch for COA cache revalidation.
-    pub fn take_dirty(&mut self) -> FxHashSet<PageId> {
-        std::mem::take(&mut self.dirty)
+    /// Drains the set of pages written since the previous drain, keeping
+    /// the set's capacity for the next batch. The commit unit calls this
+    /// after every mutation batch (group commit, recovery re-execution)
+    /// to stamp the pages with the current commit epoch for COA cache
+    /// revalidation. Dropping the iterator early still empties the set.
+    pub fn drain_dirty(&mut self) -> impl Iterator<Item = PageId> + '_ {
+        self.dirty.drain()
     }
 
     /// Number of materialized (non-zero-backed) pages.
@@ -272,24 +330,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_commit_matches_sequential() {
-        // Large enough to take the scoped-thread path, with repeated
-        // addresses so last-writer-wins is exercised.
-        let writes: Vec<(VAddr, u64)> = (0..10_000u64).map(|i| (a((i % 3000) * 8), i)).collect();
-        let mut seq = MasterMem::new();
-        seq.commit_writes(writes.clone());
-        let mut par = MasterMem::new();
-        par.commit_writes_parallel(writes);
-        assert_eq!(seq.snapshot(), par.snapshot());
-        assert_eq!(par.commits_applied(), 1);
-    }
-
-    #[test]
     fn small_write_sets_stay_sequential_and_correct() {
+        // Writes hop between two pages and back, so a page is reopened
+        // after another one: last-writer-wins must hold across the hops.
         let mut m = MasterMem::new();
-        m.commit_writes_parallel(vec![(a(8), 1), (a(8), 2)]);
+        m.commit_writes(vec![(a(8), 1), (a(4096), 5), (a(8), 2), (a(16), 3)]);
         assert_eq!(m.read(a(8)), 2);
+        assert_eq!(m.read(a(16)), 3);
+        assert_eq!(m.read(a(4096)), 5);
         assert_eq!(m.commits_applied(), 1);
+        let mut dirty: Vec<PageId> = m.drain_dirty().collect();
+        dirty.sort_unstable();
+        assert_eq!(dirty, vec![a(0).page(), a(4096).page()]);
+        assert_eq!(m.drain_dirty().count(), 0, "drain must empty the set");
     }
 
     #[test]
@@ -332,5 +385,75 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use dsmtx_uva::OwnerId;
+    use proptest::prelude::*;
+
+    fn sorted(mut pages: Vec<PageId>) -> Vec<PageId> {
+        pages.sort_unstable();
+        pages
+    }
+
+    proptest! {
+        /// `write_words`/`read_words` are per-word `write`/`read` run in
+        /// order: the same memory, the same values read (zeros off the
+        /// written pages), the same dirty pages, and — while recording —
+        /// the same access log. Starts are unaligned and runs cross page
+        /// boundaries.
+        #[test]
+        fn bulk_matches_per_word(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..2048, 0usize..1300, any::<u64>()), 1..24),
+            recording in any::<bool>(),
+        ) {
+            let mut bulk = MasterMem::new();
+            let mut word = MasterMem::new();
+            bulk.set_recording(recording);
+            word.set_recording(recording);
+            for (is_write, start, len, seed) in ops {
+                let base = VAddr::new(OwnerId(3), start * 8);
+                if is_write {
+                    let data: Vec<u64> = (0..len as u64).map(|i| seed ^ i.wrapping_mul(0x9E37)).collect();
+                    bulk.write_words(base, &data);
+                    for (i, &w) in data.iter().enumerate() {
+                        word.write(base.add_words(i as u64), w);
+                    }
+                    prop_assert_eq!(
+                        sorted(bulk.drain_dirty().collect()),
+                        sorted(word.drain_dirty().collect())
+                    );
+                } else {
+                    let mut got = vec![u64::MAX; len];
+                    bulk.read_words(base, &mut got);
+                    let want: Vec<u64> = (0..len as u64).map(|i| word.read(base.add_words(i))).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(bulk.snapshot(), word.snapshot());
+            prop_assert_eq!(bulk.drain_recorded(), word.drain_recorded());
+        }
+    }
+
+    #[test]
+    fn bulk_read_of_unwritten_pages_is_zero_and_materializes_nothing() {
+        let mut m = MasterMem::new();
+        let base = VAddr::new(OwnerId(1), 4096 - 16);
+        m.write(base, 9);
+        let mut out = vec![u64::MAX; 1030];
+        m.read_words(base, &mut out);
+        assert_eq!(out[0], 9);
+        assert!(out[1..].iter().all(|&w| w == 0));
+        assert_eq!(m.resident_pages(), 1);
+    }
+
+    #[test]
+    #[should_panic]
+    fn bulk_write_past_the_region_panics_like_per_word() {
+        let last = VAddr::new(OwnerId(1), dsmtx_uva::addr::OFFSET_MASK & !7);
+        MasterMem::new().write_words(last, &[1, 2]);
     }
 }

@@ -368,3 +368,27 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// At one shard every page routes to shard 0 whatever map is
+        /// installed — why a run at one shard need not build one.
+        #[test]
+        fn one_shard_routes_every_page_to_zero_under_any_map(
+            overrides in proptest::collection::vec((0u64..4096, 0usize..64), 0..48),
+            pages in proptest::collection::vec(0u64..8192, 1..64),
+        ) {
+            let mut map = ShardMap::new();
+            for (page, shard) in overrides {
+                map.assign(PageId(page), shard);
+            }
+            for page in pages {
+                prop_assert_eq!(route(Some(&map), PageId(page), 1), 0);
+            }
+        }
+    }
+}

@@ -73,8 +73,8 @@ impl SpecMem {
         addr: VAddr,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<u64, E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        let value = self.table.read(addr).expect("page just ensured resident");
+        let slot = self.resident(addr.page(), fetch)?;
+        let value = self.table.word(slot, addr.word_in_page());
         self.log.push(AccessRecord {
             kind: AccessKind::Load,
             addr,
@@ -97,8 +97,8 @@ impl SpecMem {
         addr: VAddr,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<u64, E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        Ok(self.table.read(addr).expect("page just ensured resident"))
+        let slot = self.resident(addr.page(), fetch)?;
+        Ok(self.table.word(slot, addr.word_in_page()))
     }
 
     /// Speculatively stores `value` at `addr`, logging the store.
@@ -113,10 +113,8 @@ impl SpecMem {
         value: u64,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<(), E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        self.table
-            .write(addr, value)
-            .expect("page just ensured resident");
+        let slot = self.resident(addr.page(), fetch)?;
+        self.table.set_word(slot, addr.word_in_page(), value);
         self.log.push(AccessRecord {
             kind: AccessKind::Store,
             addr,
@@ -139,10 +137,8 @@ impl SpecMem {
         value: u64,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<(), E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        self.table
-            .write(addr, value)
-            .expect("page just ensured resident");
+        let slot = self.resident(addr.page(), fetch)?;
+        self.table.set_word(slot, addr.word_in_page(), value);
         Ok(())
     }
 
@@ -153,24 +149,35 @@ impl SpecMem {
     /// eventual COA install.
     pub fn apply_forwarded(&mut self, addr: VAddr, value: u64) {
         let page_id = addr.page();
-        if self.table.is_resident(page_id) {
-            self.table.write(addr, value).expect("resident");
-        } else {
-            self.pending
+        match self.table.slot(page_id) {
+            Some(slot) => self.table.set_word(slot, addr.word_in_page(), value),
+            None => self
+                .pending
                 .entry(page_id)
                 .or_default()
-                .push((addr.word_in_page(), value));
+                .push((addr.word_in_page(), value)),
         }
     }
 
-    fn ensure_resident<E>(
+    /// The slot of `page_id`, faulting it in first when it is not
+    /// resident: the one page lookup every access pays.
+    #[inline]
+    fn resident<E>(
         &mut self,
         page_id: PageId,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
-    ) -> Result<(), E> {
-        if self.table.is_resident(page_id) {
-            return Ok(());
+    ) -> Result<usize, E> {
+        match self.table.slot(page_id) {
+            Some(slot) => Ok(slot),
+            None => self.fault_in(page_id, fetch),
         }
+    }
+
+    fn fault_in<E>(
+        &mut self,
+        page_id: PageId,
+        fetch: impl FnOnce(PageId) -> Result<Page, E>,
+    ) -> Result<usize, E> {
         let mut page = fetch(page_id)?;
         // Newer forwarded words override the committed image.
         if let Some(pending) = self.pending.remove(&page_id) {
@@ -178,8 +185,7 @@ impl SpecMem {
                 page.set_word(word, value);
             }
         }
-        self.table.install(page_id, page);
-        Ok(())
+        Ok(self.table.install_slot(page_id, page))
     }
 
     /// Drains the program-ordered access log (end of subTX).
@@ -397,6 +403,83 @@ mod proptests {
                     let want = model.get(&word).copied().unwrap_or(committed);
                     prop_assert_eq!(got, want);
                 }
+            }
+        }
+
+        /// SpecMem against a plain map model of resident pages and
+        /// pending forwards, over reads, writes, unlogged accesses,
+        /// forwards and rollbacks on page ids that collide in the page
+        /// table's lookup cache. Every rollback also moves the committed
+        /// image on, so a page served from a stale slot after a rollback
+        /// or a refetch would read the old image and fail the check.
+        #[test]
+        fn spec_mem_matches_map_model(
+            ops in proptest::collection::vec((0u8..7, 0u64..8, 0usize..512, any::<u64>()), 1..300),
+        ) {
+            use std::collections::HashMap;
+            let mut m = SpecMem::new();
+            let mut resident: HashMap<PageId, Vec<u64>> = HashMap::new();
+            let mut pending: HashMap<PageId, Vec<(usize, u64)>> = HashMap::new();
+            let mut log = Vec::new();
+            let mut generation = 1u64;
+            let mut faults = 0u64;
+            for (op, p, word, value) in ops {
+                // Pages 0, 8, 16, 24 collide in the 8-entry lookup
+                // cache, as do 1, 9, 17, 25.
+                let id = PageId(p % 2 + (p / 2) * 8);
+                let addr = id.word(word);
+                let committed = |page: PageId| -> Vec<u64> {
+                    (0..512).map(|w| generation << 32 | page.0 << 16 | w).collect()
+                };
+                let fetch = |page: PageId| -> Result<Page, Infallible> {
+                    let mut out = Page::zeroed();
+                    out.words_mut().copy_from_slice(&committed(page));
+                    Ok(out)
+                };
+                if op <= 3 && !resident.contains_key(&id) {
+                    let mut words = committed(id);
+                    for (w, v) in pending.remove(&id).unwrap_or_default() {
+                        words[w] = v;
+                    }
+                    resident.insert(id, words);
+                    faults += 1;
+                }
+                match op {
+                    0 => {
+                        let want = resident[&id][word];
+                        prop_assert_eq!(m.read(addr, fetch).unwrap(), want);
+                        log.push(AccessRecord { kind: AccessKind::Load, addr, value: want });
+                    }
+                    1 => {
+                        prop_assert_eq!(m.read_unlogged(addr, fetch).unwrap(), resident[&id][word]);
+                    }
+                    2 => {
+                        m.write(addr, value, fetch).unwrap();
+                        resident.get_mut(&id).unwrap()[word] = value;
+                        log.push(AccessRecord { kind: AccessKind::Store, addr, value });
+                    }
+                    3 => {
+                        m.write_unlogged(addr, value, fetch).unwrap();
+                        resident.get_mut(&id).unwrap()[word] = value;
+                    }
+                    4 | 5 => {
+                        m.apply_forwarded(addr, value);
+                        match resident.get_mut(&id) {
+                            Some(words) => words[word] = value,
+                            None => pending.entry(id).or_default().push((word, value)),
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(m.rollback(), resident.len());
+                        resident.clear();
+                        pending.clear();
+                        log.clear();
+                        generation += 1;
+                    }
+                }
+                prop_assert_eq!(m.resident_pages(), resident.len());
+                prop_assert_eq!(m.faults_served(), faults);
+                prop_assert_eq!(m.log(), &log[..]);
             }
         }
 

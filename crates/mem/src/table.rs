@@ -8,10 +8,21 @@
 //! [`PageTable::protect_all`], dropping all resident pages so that COA
 //! refetches committed state.
 
+use std::cell::Cell;
+
 use dsmtx_uva::{PageId, VAddr};
 use fxhash::FxHashMap;
 
 use crate::page::Page;
+
+/// Entries in the direct-mapped lookup cache in front of the page index.
+/// A handful is enough for the interleaved input, output and scratch
+/// streams a subTX walks; more would only lengthen `protect_all`.
+const RECENT: usize = 8;
+
+/// A lookup-cache entry that matches no page: page ids are at most
+/// `u64::MAX / PAGE_BYTES`.
+const NO_PAGE: u64 = u64::MAX;
 
 /// Raised when an access touches a page that is not locally resident.
 ///
@@ -44,21 +55,67 @@ pub enum PageState {
 
 /// A worker's page table.
 ///
-/// Pages not present in the map are implicitly [`PageState::Unmapped`];
-/// `protect_all` therefore just clears the map.
-#[derive(Debug, Default)]
+/// Resident pages live in a slot vector; an Fx-hashed index maps each
+/// page to its slot, and a small direct-mapped cache of recent
+/// `page → slot` lookups sits in front of the index, so a run of accesses
+/// to the same few pages pays one hash lookup per page rather than per
+/// word. Pages without a slot are implicitly [`PageState::Unmapped`];
+/// `protect_all` therefore just clears the slots, the index and the cache.
+#[derive(Debug)]
 pub struct PageTable {
-    /// Fx-hashed: `PageId` keys are interior and trusted, and the table
-    /// sits on the per-access fast path of every speculative load/store.
-    pages: FxHashMap<PageId, (Page, bool)>,
+    /// Page → index into `slots`.
+    index: FxHashMap<PageId, u32>,
+    /// Resident pages and their dirty bits.
+    slots: Vec<(Page, bool)>,
+    /// Direct-mapped by the low bits of the page id: `(page, slot)`, or
+    /// `NO_PAGE` when empty. A `Cell` so that `read(&self)` can refill it.
+    recent: [Cell<(u64, u32)>; RECENT],
     /// Pages fetched via COA since the last reset (for statistics).
     faults_served: u64,
+}
+
+impl Default for PageTable {
+    fn default() -> Self {
+        PageTable {
+            index: FxHashMap::default(),
+            slots: Vec::new(),
+            recent: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+            faults_served: 0,
+        }
+    }
 }
 
 impl PageTable {
     /// An empty, fully protected table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The slot holding `id`, if resident: the cache first, then the index.
+    #[inline]
+    pub(crate) fn slot(&self, id: PageId) -> Option<usize> {
+        let entry = &self.recent[id.0 as usize % RECENT];
+        let (page, slot) = entry.get();
+        if page == id.0 {
+            return Some(slot as usize);
+        }
+        let slot = *self.index.get(&id)?;
+        entry.set((id.0, slot));
+        Some(slot as usize)
+    }
+
+    /// The word at `index` of the page in `slot`.
+    #[inline]
+    pub(crate) fn word(&self, slot: usize, index: usize) -> u64 {
+        self.slots[slot].0.word(index)
+    }
+
+    /// Stores into the page in `slot`, marking it dirty.
+    #[inline]
+    pub(crate) fn set_word(&mut self, slot: usize, index: usize, value: u64) {
+        let (page, dirty) = &mut self.slots[slot];
+        page.set_word(index, value);
+        *dirty = true;
     }
 
     /// Reads the word at `addr`.
@@ -69,8 +126,8 @@ impl PageTable {
     #[inline]
     pub fn read(&self, addr: VAddr) -> Result<u64, PageFault> {
         let page_id = addr.page();
-        match self.pages.get(&page_id) {
-            Some((page, _)) => Ok(page.word(addr.word_in_page())),
+        match self.slot(page_id) {
+            Some(slot) => Ok(self.word(slot, addr.word_in_page())),
             None => Err(PageFault(page_id)),
         }
     }
@@ -85,10 +142,9 @@ impl PageTable {
     #[inline]
     pub fn write(&mut self, addr: VAddr, value: u64) -> Result<(), PageFault> {
         let page_id = addr.page();
-        match self.pages.get_mut(&page_id) {
-            Some((page, dirty)) => {
-                page.set_word(addr.word_in_page(), value);
-                *dirty = true;
+        match self.slot(page_id) {
+            Some(slot) => {
+                self.set_word(slot, addr.word_in_page(), value);
                 Ok(())
             }
             None => Err(PageFault(page_id)),
@@ -97,8 +153,32 @@ impl PageTable {
 
     /// Installs a page fetched via Copy-On-Access. The page starts clean.
     pub fn install(&mut self, id: PageId, page: Page) {
+        self.install_slot(id, page);
+    }
+
+    /// [`PageTable::install`], returning the page's slot. A re-install
+    /// replaces the resident copy in place.
+    pub(crate) fn install_slot(&mut self, id: PageId, page: Page) -> usize {
         self.faults_served += 1;
-        self.pages.insert(id, (page, false));
+        self.map(id, page)
+    }
+
+    /// Makes `page` the resident copy of `id` and caches the lookup.
+    fn map(&mut self, id: PageId, page: Page) -> usize {
+        let slot = match self.index.get(&id) {
+            Some(&slot) => {
+                self.slots[slot as usize] = (page, false);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("page table slot overflow");
+                self.slots.push((page, false));
+                self.index.insert(id, slot);
+                slot
+            }
+        };
+        self.recent[id.0 as usize % RECENT].set((id.0, slot));
+        slot as usize
     }
 
     /// Writes a word into a page that the runtime knows is being created
@@ -106,42 +186,48 @@ impl PageTable {
     /// zero page if absent instead of faulting.
     pub fn write_or_map_zero(&mut self, addr: VAddr, value: u64) {
         let page_id = addr.page();
-        let (page, dirty) = self
-            .pages
-            .entry(page_id)
-            .or_insert_with(|| (Page::zeroed(), false));
-        page.set_word(addr.word_in_page(), value);
-        *dirty = true;
+        let slot = match self.slot(page_id) {
+            Some(slot) => slot,
+            None => self.map(page_id, Page::zeroed()),
+        };
+        self.set_word(slot, addr.word_in_page(), value);
     }
 
     /// Re-protects the entire heap: every page becomes unmapped, exactly
     /// what recovery step 4 of §4.3 does. Returns the number of pages
     /// dropped.
     pub fn protect_all(&mut self) -> usize {
-        let n = self.pages.len();
-        self.pages.clear();
+        let n = self.slots.len();
+        self.slots.clear();
+        self.index.clear();
+        for entry in &self.recent {
+            entry.set((NO_PAGE, 0));
+        }
         n
     }
 
     /// State of the page containing nothing beyond residency and dirtiness.
     pub fn state(&self, id: PageId) -> PageState {
-        match self.pages.get(&id) {
-            Some((page, dirty)) => PageState::Resident {
-                page: page.clone(),
-                dirty: *dirty,
-            },
+        match self.slot(id) {
+            Some(slot) => {
+                let (page, dirty) = &self.slots[slot];
+                PageState::Resident {
+                    page: page.clone(),
+                    dirty: *dirty,
+                }
+            }
             None => PageState::Unmapped,
         }
     }
 
     /// True when the page is resident.
     pub fn is_resident(&self, id: PageId) -> bool {
-        self.pages.contains_key(&id)
+        self.slot(id).is_some()
     }
 
     /// Number of resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.slots.len()
     }
 
     /// Number of COA installs since construction.
@@ -285,6 +371,62 @@ mod proptests {
             // protect_all resets everything to faulting.
             t.protect_all();
             prop_assert_eq!(t.resident_pages(), 0);
+        }
+
+        /// The slot table behaves as a plain map of resident pages under
+        /// any mix of install, re-install, read, write, map-zero and
+        /// protect_all — over page ids that collide in the lookup cache,
+        /// so a cached slot is never served for the wrong page, after a
+        /// re-install, or after protect_all.
+        #[test]
+        fn table_matches_map_model(
+            ops in proptest::collection::vec((0u8..6, 0u64..8, 0usize..512, any::<u64>()), 1..300),
+        ) {
+            let mut t = PageTable::new();
+            let mut model: std::collections::HashMap<PageId, Vec<u64>> = Default::default();
+            let mut installs = 0u64;
+            for (op, p, word, value) in ops {
+                // Pages 0, RECENT, 2·RECENT, … share one cache entry, as
+                // do 1, RECENT + 1, ….
+                let id = PageId(p % 2 + (p / 2) * RECENT as u64);
+                let addr = id.word(word);
+                match op {
+                    0 => {
+                        let mut page = Page::zeroed();
+                        for w in 0..512 {
+                            page.set_word(w, value ^ w as u64);
+                        }
+                        t.install(id, page);
+                        installs += 1;
+                        model.insert(id, (0..512).map(|w| value ^ w).collect());
+                    }
+                    1 | 2 => {
+                        let want = model.get(&id).map(|words| words[word]).ok_or(PageFault(id));
+                        prop_assert_eq!(t.read(addr), want);
+                    }
+                    3 => {
+                        let want = match model.get_mut(&id) {
+                            Some(words) => {
+                                words[word] = value;
+                                Ok(())
+                            }
+                            None => Err(PageFault(id)),
+                        };
+                        prop_assert_eq!(t.write(addr, value), want);
+                    }
+                    4 => {
+                        t.write_or_map_zero(addr, value);
+                        model.entry(id).or_insert_with(|| vec![0; 512])[word] = value;
+                    }
+                    _ => {
+                        prop_assert_eq!(t.protect_all(), model.len());
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(t.resident_pages(), model.len());
+                prop_assert_eq!(t.is_resident(id), model.contains_key(&id));
+                prop_assert_eq!(t.faults_served(), installs);
+            }
         }
     }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use dsmtx::{
     IterOutcome, MtxId, RecoveryFn, Region, RunResult, StageFn, StageRole, StageSpec, WorkerCtx,
 };
-use dsmtx_mem::MasterMem;
+use dsmtx_mem::{MasterMem, ShardMap};
 use dsmtx_paradigms::{Paradigm, Pipeline, SpecDoall, SpecKind, Tuning};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
@@ -206,6 +206,22 @@ fn body_fn(lay: &Layout, n: u64) -> StageFn {
     })
 }
 
+/// The shard map a reported run installs: the plan's profile-guided map
+/// (the store stream is heavily page-skewed), so that the certified run
+/// routes validation traffic the way the analyzer weighed it. At one
+/// shard [`dsmtx_mem::route`] sends every page to shard 0, so the map
+/// could not change the run, and the profile (a recorded replay of the
+/// whole loop) is not built.
+fn run_shard_map(lay: &Layout, scale: Scale, unit_shards: usize) -> Option<ShardMap> {
+    (unit_shards > 1).then(|| {
+        profiled_shard_map(
+            initial_master(lay, scale),
+            &mut recovery_fn(lay),
+            scale.iterations,
+        )
+    })
+}
+
 fn recovery_fn(lay: &Layout) -> RecoveryFn {
     let (w_base, s_base, g_base) = (lay.w_base, lay.s_base, lay.g_base);
     Box::new(move |mtx: MtxId, master: &mut MasterMem| {
@@ -340,14 +356,10 @@ impl Kernel for Alvinn {
         let master = initial_master(&lay, scale);
         let body = body_fn(&lay, n);
         let recovery = recovery_fn(&lay);
-        // The plan ships a profile-guided shard map (the store stream is
-        // heavily page-skewed); install it so the certified run routes
-        // validation traffic the way the analyzer weighed it.
-        let shard_map = profiled_shard_map(initial_master(&lay, scale), &mut recovery_fn(&lay), n);
         Ok(Pipeline::new()
             .par(workers.max(1), body)
             .tuning(Tuning::with_unit_shards(unit_shards))
-            .shard_map(Some(shard_map))
+            .shard_map(run_shard_map(&lay, scale, unit_shards))
             .run(master, recovery, Some(n))?)
     }
 
@@ -399,6 +411,22 @@ mod tests {
         let seq = k.run(Mode::Sequential, scale).unwrap();
         let par = k.run(Mode::Dsmtx { workers: 3 }, scale).unwrap();
         assert_eq!(seq, par, "bitwise-identical weights after training");
+    }
+
+    #[test]
+    fn reported_runs_install_the_plan_shard_map_above_one_shard_only() {
+        let scale = Scale::test();
+        let lay = layout(scale).unwrap();
+        assert_eq!(run_shard_map(&lay, scale, 1), None);
+        let plan = Alvinn.plan(scale).unwrap();
+        assert!(plan.shard_map.is_some());
+        for shards in [2, 4] {
+            assert_eq!(run_shard_map(&lay, scale, shards), plan.shard_map);
+        }
+        let run = Alvinn.run_reported(2, 2, scale).unwrap();
+        assert_eq!(run.report.shard_stats.len(), 2);
+        assert_eq!(run.report.validation_conflicts, 0);
+        assert_eq!(run.report.total_iterations(), scale.iterations);
     }
 
     #[test]

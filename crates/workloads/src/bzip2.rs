@@ -17,7 +17,7 @@ use std::sync::Arc;
 use dsmtx::{
     IterOutcome, MtxId, RecoveryFn, Region, RunResult, StageId, StageRole, StageSpec, WorkerCtx,
 };
-use dsmtx_mem::MasterMem;
+use dsmtx_mem::{MasterMem, ShardMap};
 use dsmtx_paradigms::paradigm::StageLabel;
 use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
 use dsmtx_sim::{
@@ -149,6 +149,21 @@ fn initial_master(input: &[u64], lay: &Layout) -> MasterMem {
     master
 }
 
+/// The shard map a DSMTX run installs: the plan's profile-guided map,
+/// so that the certified run routes its skewed store stream the way the
+/// analyzer weighed it. At one shard [`dsmtx_mem::route`] sends every
+/// page to shard 0, so the map could not change the run, and the profile
+/// (a recorded replay of the whole loop) is not built.
+fn run_shard_map(input: &[u64], lay: &Layout, scale: Scale, shards: usize) -> Option<ShardMap> {
+    (shards > 1).then(|| {
+        profiled_shard_map(
+            initial_master(input, lay),
+            &mut recovery_fn(lay, scale),
+            scale.iterations,
+        )
+    })
+}
+
 fn recovery_fn(lay: &Layout, scale: Scale) -> RecoveryFn {
     let (in_base, stream_base, cursor) = (lay.in_base, lay.stream_base, lay.cursor);
     let unit = scale.unit;
@@ -255,20 +270,12 @@ impl Bzip2 {
                     ctx.write(cursor, cur + 1 + len)?;
                     Ok(IterOutcome::Continue)
                 });
-                // Install the plan's profile-guided shard map so the
-                // certified run routes its skewed store stream the way
-                // the analyzer weighed it.
-                let shard_map = profiled_shard_map(
-                    initial_master(&input, &lay),
-                    &mut recovery_fn(&lay, scale),
-                    n,
-                );
                 Pipeline::new()
                     .seq(read)
                     .par(workers.max(1), compress)
                     .seq(emit)
                     .tuning(Tuning::with_unit_shards(shards))
-                    .shard_map(Some(shard_map))
+                    .shard_map(run_shard_map(&input, &lay, scale, shards))
                     .run(master, recovery, Some(n))?
             }
             Mode::Tls { workers } => {
@@ -444,6 +451,23 @@ mod tests {
         let tls = k.run(Mode::Tls { workers: 2 }, scale).unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq, tls);
+    }
+
+    #[test]
+    fn runs_install_the_plan_shard_map_above_one_shard_only() {
+        let scale = Scale::test();
+        let lay = layout(scale).unwrap();
+        let input = generate(scale, false);
+        assert_eq!(run_shard_map(&input, &lay, scale, 1), None);
+        let plan = Bzip2.plan(scale).unwrap();
+        assert!(plan.shard_map.is_some());
+        for shards in [2, 4] {
+            assert_eq!(run_shard_map(&input, &lay, scale, shards), plan.shard_map);
+        }
+        let run = Bzip2.run_reported(2, 2, scale).unwrap();
+        assert_eq!(run.report.shard_stats.len(), 2);
+        assert_eq!(run.report.validation_conflicts, 0);
+        assert_eq!(run.report.total_iterations(), scale.iterations);
     }
 
     #[test]

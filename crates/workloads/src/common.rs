@@ -179,14 +179,14 @@ pub fn master_heap() -> RegionAllocator {
 
 /// Writes `data` into `master` starting at `base`.
 pub fn store_words(master: &mut MasterMem, base: VAddr, data: &[u64]) {
-    for (i, &w) in data.iter().enumerate() {
-        master.write(base.add_words(i as u64), w);
-    }
+    master.write_words(base, data);
 }
 
 /// Reads `len` words from `master` starting at `base`.
 pub fn load_words(master: &MasterMem, base: VAddr, len: u64) -> Vec<u64> {
-    (0..len).map(|i| master.read(base.add_words(i))).collect()
+    let mut out = vec![0; len as usize];
+    master.read_words(base, &mut out);
+    out
 }
 
 /// Profiles a kernel's sequential body and builds a balanced page→shard

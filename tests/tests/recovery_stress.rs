@@ -48,6 +48,53 @@ fn misspec_on_first_iteration() {
     }
 }
 
+/// Each role starts its thread after the system does, so a misspeculation
+/// on the very first iteration can publish `Recovering` before a slow
+/// role first polls. That role must still join the recovery: it used to
+/// read the already-moved epoch at start-up, never see the status, and
+/// leave every other thread waiting at the barrier. Many short runs, each
+/// under a watchdog so a stranded role fails the test instead of hanging
+/// it.
+#[test]
+fn first_iteration_misspec_never_strands_a_late_role() {
+    for run in 0..100 {
+        let handle = std::thread::spawn(|| {
+            let mut heap = heap0();
+            let out = heap.alloc_words(2).unwrap();
+            let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+                if mtx.0 == 0 {
+                    return ctx.misspec();
+                }
+                ctx.write_no_forward(out.add_words(mtx.0), mtx.0)?;
+                Ok(IterOutcome::Continue)
+            });
+            doall(2)
+                .run(Program {
+                    master: MasterMem::new(),
+                    stages: vec![body],
+                    recovery: Box::new(move |mtx, m| {
+                        m.write(out.add_words(mtx.0), mtx.0);
+                        IterOutcome::Continue
+                    }),
+                    on_commit: None,
+                    iteration_limit: Some(2),
+                })
+                .unwrap()
+                .report
+                .recoveries
+        });
+        let deadline = std::time::Instant::now() + dsmtx_integration_tests::WATCHDOG;
+        while !handle.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "run {run}: recovery never completed (a role missed the interrupt)"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(handle.join().unwrap(), 1, "run {run}");
+    }
+}
+
 #[test]
 fn misspec_on_last_iteration() {
     const N: u64 = 6;
