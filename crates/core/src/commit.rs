@@ -23,7 +23,7 @@ use fxhash::FxHashMap;
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, Status, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
-use crate::poll::Backoff;
+use crate::poll::{Backoff, DRAIN_BUDGET};
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{Msg, EPOCH_NONE};
@@ -167,7 +167,7 @@ impl CommitUnit {
         }
         let mut backoff = Backoff::new();
         let mut epoch = EPOCH_UNSEEN;
-        loop {
+        'run: loop {
             // The commit unit is normally the only status writer, but a
             // thread that found its channel dead publishes the typed
             // `Terminating` shutdown directly — honor it instead of
@@ -191,10 +191,14 @@ impl CommitUnit {
                     }
                 }
             }
-            match self.step() {
-                StepResult::Progress => progress = true,
-                StepResult::Idle => {}
-                StepResult::Terminated => break,
+            // Commit every MTX that is ready, not one per pass: plane
+            // records arrive in batches, so verdicts often do too.
+            loop {
+                match self.step() {
+                    StepResult::Progress => progress = true,
+                    StepResult::Idle => break,
+                    StepResult::Terminated => break 'run,
+                }
             }
             if progress {
                 backoff.reset();
@@ -205,12 +209,13 @@ impl CommitUnit {
         (self.master, self.counters)
     }
 
-    /// Drains available input and services COA requests. Never blocks.
+    /// Drains available input (up to [`DRAIN_BUDGET`] messages per queue)
+    /// and services COA requests. Never blocks.
     fn ingest(&mut self) -> bool {
         let mut progress = false;
         // Worker streams: store frames, events, COA requests.
         for idx in 0..self.from_workers.len() {
-            loop {
+            for _ in 0..DRAIN_BUDGET {
                 let msg = match self.from_workers[idx].1.try_consume() {
                     Ok(Some(m)) => m,
                     Ok(None) => break,
@@ -293,7 +298,7 @@ impl CommitUnit {
         }
         // Try-commit streams: per-shard verdicts and COA requests.
         for shard in 0..self.from_trycommit.len() {
-            loop {
+            for _ in 0..DRAIN_BUDGET {
                 let msg = match self.from_trycommit[shard].try_consume() {
                     Ok(Some(m)) => m,
                     Ok(None) => break,

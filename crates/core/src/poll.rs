@@ -8,6 +8,14 @@
 
 use crate::control::{ControlPlane, Interrupt};
 
+/// Most messages a unit takes from one input queue in one pass of its
+/// loop. Workers batch their plane records and may run ahead without
+/// waiting, so a queue can refill as fast as a unit drains it; the cap
+/// makes every pass end, so the unit still polls the control plane,
+/// replays, and commits, and a producer that outruns it fills its
+/// transport and waits.
+pub(crate) const DRAIN_BUDGET: usize = 1024;
+
 /// True when this process has exactly one CPU to run on.
 ///
 /// Spinning only makes sense when the producer we are waiting for can run

@@ -39,7 +39,7 @@ use fxhash::FxHashMap;
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
-use crate::poll::{wait_for, wait_for_deadline, Backoff};
+use crate::poll::{wait_for, wait_for_deadline, Backoff, DRAIN_BUDGET};
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
 use crate::worker::{classify, flush_port};
@@ -251,12 +251,13 @@ impl TryCommitUnit {
         }
     }
 
-    /// Drains whatever is available on the validation queues into the
-    /// assembly buffers. Never blocks.
+    /// Drains what is available on the validation queues (up to
+    /// [`DRAIN_BUDGET`] messages each) into the assembly buffers. Never
+    /// blocks.
     fn ingest(&mut self) -> bool {
         let mut progress = false;
         for (worker, port) in &mut self.val_in {
-            loop {
+            for _ in 0..DRAIN_BUDGET {
                 let msg = match port.try_consume() {
                     Ok(Some(m)) => m,
                     Ok(None) => break,
@@ -359,9 +360,14 @@ impl TryCommitUnit {
                     Some(self.cursor_stage),
                     TraceKind::Conflict,
                 );
-                self.send_to_commit(Msg::VerdictBad {
-                    mtx: self.cursor_mtx,
-                })?;
+                // A conflict ships at once, with every verdict queued
+                // before it.
+                self.to_commit
+                    .produce(Msg::VerdictBad {
+                        mtx: self.cursor_mtx,
+                    })
+                    .map_err(classify)?;
+                flush_port(&self.ctrl, &mut self.epoch, &mut self.to_commit)?;
                 self.poisoned = true;
                 return Ok(true);
             }
@@ -373,9 +379,13 @@ impl TryCommitUnit {
                     None,
                     TraceKind::Validated,
                 );
-                self.send_to_commit(Msg::VerdictOk {
-                    mtx: self.cursor_mtx,
-                })?;
+                // Queued, not flushed: the verdicts of one pass share a
+                // packet (flushed below).
+                self.to_commit
+                    .produce(Msg::VerdictOk {
+                        mtx: self.cursor_mtx,
+                    })
+                    .map_err(classify)?;
                 self.counters.validated += 1;
                 self.counters
                     .verdict_latency
@@ -386,6 +396,7 @@ impl TryCommitUnit {
                 self.cursor_stage = StageId(self.cursor_stage.0 + 1);
             }
         }
+        flush_port(&self.ctrl, &mut self.epoch, &mut self.to_commit)?;
         Ok(progress)
     }
 
@@ -443,17 +454,6 @@ impl TryCommitUnit {
             }
         }
         Ok(None)
-    }
-
-    fn send_to_commit(&mut self, msg: Msg) -> Result<(), Interrupt> {
-        self.to_commit.produce(msg).map_err(classify)?;
-        let Self {
-            to_commit,
-            ctrl,
-            epoch,
-            ..
-        } = self;
-        flush_port(ctrl, epoch, to_commit)
     }
 
     /// §4.3 recovery: rendezvous, flush, re-protect, resume validating at

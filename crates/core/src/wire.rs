@@ -131,6 +131,19 @@ impl AccessBlock {
         self.len += 1;
     }
 
+    /// An empty block with room for as many records as `self` holds: the
+    /// replacement for a block about to ship, so the next subTX's pushes
+    /// allocate once instead of doubling their way up again.
+    pub fn empty_like(&self) -> Self {
+        AccessBlock {
+            len: 0,
+            kinds: Vec::with_capacity(self.kinds.len()),
+            addrs: Vec::with_capacity(self.addrs.len()),
+            values: Vec::with_capacity(self.values.len()),
+            prev_addr: 0,
+        }
+    }
+
     /// Clears the block for reuse, keeping its capacity.
     pub fn clear(&mut self) {
         self.len = 0;
@@ -398,6 +411,19 @@ mod tests {
             .map(|r| (r.kind, r.addr.raw(), r.value))
             .collect();
         assert_eq!(decoded, records);
+    }
+
+    #[test]
+    fn empty_like_is_empty_and_presized() {
+        let mut block = AccessBlock::new();
+        for i in 0..100u64 {
+            block.push(AccessKind::Store, 8 * i, i);
+        }
+        let next = block.empty_like();
+        assert_eq!(next, AccessBlock::new());
+        assert!(next.values.capacity() >= 100);
+        assert!(next.addrs.capacity() >= block.addrs.len());
+        assert!(next.kinds.capacity() >= block.kinds.len());
     }
 
     #[test]

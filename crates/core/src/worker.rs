@@ -10,13 +10,16 @@
 //! 2. Runs the stage body, which speculatively reads/writes DSMTX memory
 //!    through this context. First touches of protected pages trigger
 //!    Copy-On-Access round trips to the commit unit.
-//! 3. **`end`** (`mtx_end`): sends the subTX's ordered access stream to the
-//!    try-commit unit, its store set to the commit unit, and a data frame
-//!    (forwards + produces) to the executor of this iteration in every
-//!    later stage (`mtx_writeAll` semantics).
+//! 3. **`end`** (`mtx_end`): queues the subTX's ordered access stream for
+//!    the try-commit unit and its store set for the commit unit, and
+//!    ships a data frame (forwards + produces) to the executor of this
+//!    iteration in every later stage (`mtx_writeAll` semantics).
 //!
 //! Every blocking point polls the control plane so the worker can unwind
-//! into the §4.3 recovery rendezvous or terminate.
+//! into the §4.3 recovery rendezvous or terminate, and ships the queued
+//! validation and commit records first (`Planes`): several subTXs share
+//! a packet, and no worker waits while holding records another unit
+//! needs.
 
 use std::collections::VecDeque;
 
@@ -217,19 +220,14 @@ pub struct WorkerCtx {
     /// Incoming data queues from earlier-stage workers (plus the ring
     /// predecessor).
     inn: Vec<(WorkerId, RecvPort<Msg>)>,
-    /// Validation streams, one per try-commit shard: each access record
-    /// goes to the shard owning its page ([`route`]); the
-    /// `SubTxBegin`/`SubTxEnd` framing goes to every shard so all replay
-    /// cursors advance in lockstep.
-    val_out: Vec<SendPort<Msg>>,
+    /// The validation and commit planes this worker feeds.
+    planes: Planes,
     /// Profile-guided page→shard overrides from the shared shape; pages
     /// outside the map route by the hash partition. Identical on every
     /// worker, so the partition stays agreed-upon without communication.
     shard_map: Option<ShardMap>,
-    /// Store stream, events, and COA requests to the commit unit.
-    cu_out: SendPort<Msg>,
-    /// COA replies from the commit unit.
-    coa_in: RecvPort<Msg>,
+    /// Copy-On-Access replies and the epoch-tagged page cache.
+    coa: Coa,
 
     /// Packed validation/commit-plane encoding on (the default) or the
     /// legacy per-record encoding (differential baseline).
@@ -244,12 +242,6 @@ pub struct WorkerCtx {
     commit_block: AccessBlock,
     /// Validation-plane compaction counters (merged into the run report).
     valplane: ValPlaneStats,
-    /// Epoch-tagged committed pages retained across rollbacks.
-    coa_cache: PageCache,
-    /// Newest commit epoch observed on a COA reply; [`EPOCH_NONE`] until
-    /// the first reply and right after a recovery (which forces the next
-    /// fault on every page back over the wire for revalidation).
-    coa_epoch: u64,
 
     // ---- per-iteration state ----
     cur: Option<MtxId>,
@@ -316,18 +308,24 @@ impl WorkerCtx {
             heap: w.heap,
             out: w.out,
             inn: w.inn,
-            val_out: w.val_out,
+            planes: Planes {
+                val_out: w.val_out,
+                cu_out: w.cu_out,
+            },
             shard_map,
-            cu_out: w.cu_out,
-            coa_in: w.coa_in,
+            coa: Coa {
+                rx: w.coa_in,
+                cache: PageCache::new(),
+                epoch: EPOCH_NONE,
+                use_cache: compaction,
+                timeout: data_timeout,
+            },
             compaction,
             filter: AccessFilter::new(),
             filtered: Vec::new(),
             val_blocks: vec![AccessBlock::new(); n_shards],
             commit_block: AccessBlock::new(),
             valplane: ValPlaneStats::default(),
-            coa_cache: PageCache::new(),
-            coa_epoch: EPOCH_NONE,
             cur: None,
             attempt: 0,
             users: vec![VecDeque::new(); n_stages],
@@ -379,29 +377,13 @@ impl WorkerCtx {
     pub fn read(&mut self, addr: VAddr) -> Result<u64, Interrupt> {
         let Self {
             spec,
-            cu_out,
-            coa_in,
+            coa,
+            planes,
             ctrl,
             epoch,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            compaction,
             ..
         } = self;
-        spec.read(addr, |page| {
-            coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
-            )
-        })
+        spec.read(addr, |page| coa.fetch(planes, ctrl, epoch, page))
     }
 
     /// Unvalidated load, for data the plan knows cannot conflict (e.g.
@@ -415,29 +397,13 @@ impl WorkerCtx {
     pub fn read_private(&mut self, addr: VAddr) -> Result<u64, Interrupt> {
         let Self {
             spec,
-            cu_out,
-            coa_in,
+            coa,
+            planes,
             ctrl,
             epoch,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            compaction,
             ..
         } = self;
-        spec.read_unlogged(addr, |page| {
-            coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
-            )
-        })
+        spec.read_unlogged(addr, |page| coa.fetch(planes, ctrl, epoch, page))
     }
 
     /// Speculative store with `mtx_writeAll` semantics: validated,
@@ -490,29 +456,13 @@ impl WorkerCtx {
     pub fn write_no_forward(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
         let Self {
             spec,
-            cu_out,
-            coa_in,
+            coa,
+            planes,
             ctrl,
             epoch,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            compaction,
             ..
         } = self;
-        spec.write(addr, value, |page| {
-            coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
-            )
-        })
+        spec.write(addr, value, |page| coa.fetch(planes, ctrl, epoch, page))
     }
 
     /// Private store: stays in this worker's memory version only. Used for
@@ -525,29 +475,13 @@ impl WorkerCtx {
     pub fn write_private(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
         let Self {
             spec,
-            cu_out,
-            coa_in,
+            coa,
+            planes,
             ctrl,
             epoch,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            compaction,
             ..
         } = self;
-        spec.write_unlogged(addr, value, |page| {
-            coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
-            )
-        })
+        spec.write_unlogged(addr, value, |page| coa.fetch(planes, ctrl, epoch, page))
     }
 
     // ------------------------------------------------------------------
@@ -642,20 +576,25 @@ impl WorkerCtx {
     pub fn misspec<T>(&mut self) -> Result<T, Interrupt> {
         let mtx = self.cur.expect("misspec outside an iteration");
         // Abort the subTX: nothing of it may reach the other units.
-        self.spec.drain_log();
+        let log = self.spec.drain_log();
+        self.spec.recycle_log(log);
         self.forwards.clear();
         self.targeted_forwards.clear();
         self.produces.clear();
         self.ring_produces.clear();
-        self.cu_out
-            .produce(Msg::WorkerMisspec {
+        send(
+            &mut self.planes.cu_out,
+            Msg::WorkerMisspec {
                 mtx,
                 attempt: self.attempt,
-            })
-            .map_err(classify)?;
-        flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
-        // Block until the commit unit orchestrates recovery.
-        wait_for(&self.ctrl, &mut self.epoch, || Ok(None::<T>))
+            },
+        )?;
+        // Block until the commit unit orchestrates recovery. Earlier
+        // subTXs still buffered here ship first: the commit unit reaches
+        // this MTX only after committing them.
+        wait_shipped(&mut self.planes, &self.ctrl, &mut self.epoch, None, || {
+            Ok(None::<T>)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -696,7 +635,9 @@ impl WorkerCtx {
                 let src = self.shape.executor(self.stage, MtxId(mtx.0 - 1));
                 if src == self.worker {
                     // Single-replica ring: values loop back locally.
-                    self.ring_in_vals = std::mem::take(&mut self.ring_loopback);
+                    // `ring_in_vals` is empty here, so the swap keeps both
+                    // buffers' capacity.
+                    std::mem::swap(&mut self.ring_in_vals, &mut self.ring_loopback);
                 } else {
                     self.recv_frame(src, mtx, true)?;
                 }
@@ -714,9 +655,13 @@ impl WorkerCtx {
         Ok(())
     }
 
-    /// Exits the subTX of `mtx` (`mtx_end`): ships the access stream to
-    /// try-commit, the store set to commit, data frames to later stages,
-    /// and the ring frame to the successor iteration.
+    /// Exits the subTX of `mtx` (`mtx_end`): queues the access stream for
+    /// try-commit and the store set for commit, and ships data frames to
+    /// later stages and the ring frame to the successor iteration.
+    ///
+    /// The validation and commit records ship when their batch fills or
+    /// at this worker's next wait, whichever comes first; the data and
+    /// ring frames ship here, because a later stage is waiting on them.
     ///
     /// # Errors
     ///
@@ -724,8 +669,8 @@ impl WorkerCtx {
     pub fn end(&mut self, mtx: MtxId, outcome: IterOutcome) -> Result<(), Interrupt> {
         debug_assert_eq!(self.cur, Some(mtx), "end without matching begin");
         let attempt = self.attempt;
-        // User code is done; everything from here to SubTxEnd is the
-        // validation/commit-plane flush.
+        // User code is done; everything from here to SubTxEnd is packing
+        // the planes and flushing the data and ring frames.
         self.trace.record(
             self.role,
             Some(mtx),
@@ -736,7 +681,7 @@ impl WorkerCtx {
         let records = self.spec.drain_log();
         let stage = self.stage;
         let exit = outcome == IterOutcome::Exit;
-        let n_shards = self.val_out.len();
+        let n_shards = self.planes.val_out.len();
 
         // What the unpacked per-record encoding would have shipped: one
         // item per access plus the per-shard framing pair on the
@@ -761,6 +706,7 @@ impl WorkerCtx {
                 commit_block,
                 valplane,
                 shard_map,
+                planes,
                 ..
             } = self;
             valplane.records_filtered += filter.filter_into(&records, filtered);
@@ -781,14 +727,10 @@ impl WorkerCtx {
 
             // Validation plane: one block per shard, empty blocks
             // included so every replay cursor advances.
-            for s in 0..n_shards {
-                let block = Box::new(std::mem::take(&mut self.val_blocks[s]));
-                self.valplane.records_post += 1;
-                self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
-                self.valplane.blocks += 1;
-                self.valplane.block_records += u64::from(block.len());
+            for (port, block) in planes.val_out.iter_mut().zip(val_blocks.iter_mut()) {
+                let block = ship_block(valplane, block);
                 send(
-                    &mut self.val_out[s],
+                    port,
                     Msg::ValBlock {
                         mtx,
                         attempt,
@@ -797,19 +739,12 @@ impl WorkerCtx {
                     },
                 )?;
             }
-            for port in &mut self.val_out {
-                flush_port(&self.ctrl, &mut self.epoch, port)?;
-            }
 
             // Commit plane: the coalesced store set and the loop-exit
             // decision in one frame.
-            let block = Box::new(std::mem::take(&mut self.commit_block));
-            self.valplane.records_post += 1;
-            self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
-            self.valplane.blocks += 1;
-            self.valplane.block_records += u64::from(block.len());
+            let block = ship_block(valplane, commit_block);
             send(
-                &mut self.cu_out,
+                &mut planes.cu_out,
                 Msg::CommitBlock {
                     mtx,
                     attempt,
@@ -818,19 +753,19 @@ impl WorkerCtx {
                     block,
                 },
             )?;
-            flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
         } else {
             // Legacy unpacked encoding: one message per record. Ships
             // exactly what the pre-side accounting counted.
             self.valplane.records_post += pre_items;
             self.valplane.bytes_post += pre_items * ITEM_BYTES;
+            let Planes { val_out, cu_out } = &mut self.planes;
 
             // Validation streams (ordered loads + stores), split across
             // the try-commit shards by page: every shard gets the framing
             // so its replay cursor advances, each record goes only to the
             // shard owning its page. At one shard this is the original
             // single stream verbatim.
-            for port in &mut self.val_out {
+            for port in val_out.iter_mut() {
                 send(
                     port,
                     Msg::SubTxBegin {
@@ -852,19 +787,16 @@ impl WorkerCtx {
                     },
                 };
                 let s = route(self.shard_map.as_ref(), r.addr.page(), n_shards);
-                send(&mut self.val_out[s], msg)?;
+                send(&mut val_out[s], msg)?;
             }
-            for port in &mut self.val_out {
+            for port in val_out.iter_mut() {
                 send(port, Msg::SubTxEnd { mtx, stage })?;
-            }
-            for port in &mut self.val_out {
-                flush_port(&self.ctrl, &mut self.epoch, port)?;
             }
 
             // Store stream to the commit unit (group transaction commit
             // input).
             send(
-                &mut self.cu_out,
+                cu_out,
                 Msg::SubTxBegin {
                     mtx,
                     attempt,
@@ -873,7 +805,7 @@ impl WorkerCtx {
             )?;
             for (addr, value) in SpecMem::stores_of(&records) {
                 send(
-                    &mut self.cu_out,
+                    cu_out,
                     Msg::Store {
                         addr: addr.raw(),
                         value,
@@ -881,7 +813,7 @@ impl WorkerCtx {
                 )?;
             }
             send(
-                &mut self.cu_out,
+                cu_out,
                 Msg::SubTxDone {
                     mtx,
                     attempt,
@@ -889,23 +821,37 @@ impl WorkerCtx {
                     exit,
                 },
             )?;
-            flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
+        }
+        self.spec.recycle_log(records);
+        // A full batch still queued means its transport had no room when
+        // the batch filled: wait for room (shipping both planes) instead
+        // of letting the queue grow without bound.
+        if self.planes.backed_up() {
+            self.planes.ship(&self.ctrl, &mut self.epoch)?;
         }
 
         // Data frames to the executor of this iteration in each later
         // stage: forwarded stores + user values.
-        let forwards = std::mem::take(&mut self.forwards);
-        let targeted = std::mem::take(&mut self.targeted_forwards);
-        let produces = std::mem::take(&mut self.produces);
-        for t in (stage.0 + 1)..self.shape.n_stages() {
+        let Self {
+            shape,
+            out,
+            ctrl,
+            epoch,
+            planes,
+            forwards,
+            targeted_forwards,
+            produces,
+            ..
+        } = self;
+        for t in (stage.0 + 1)..shape.n_stages() {
             let t = StageId(t);
-            let dst = self.shape.executor(t, mtx);
-            let Self {
-                out, ctrl, epoch, ..
-            } = self;
-            let port = port_to(out, dst);
+            let port = port_to(out, shape.executor(t, mtx));
             send(port, Msg::FrameBegin { mtx })?;
-            for &(addr, value) in &forwards {
+            let targeted = targeted_forwards
+                .iter()
+                .filter(|(ts, _, _)| *ts == t)
+                .map(|&(_, addr, value)| (addr, value));
+            for (addr, value) in forwards.iter().copied().chain(targeted) {
                 send(
                     port,
                     Msg::Forward {
@@ -914,41 +860,37 @@ impl WorkerCtx {
                     },
                 )?;
             }
-            for &(ts, addr, value) in targeted.iter().filter(|(ts, _, _)| *ts == t) {
-                debug_assert_eq!(ts, t);
-                send(
-                    port,
-                    Msg::Forward {
-                        addr: addr.raw(),
-                        value,
-                    },
-                )?;
-            }
-            for &(ps, value) in produces.iter().filter(|(ps, _)| *ps == t) {
-                debug_assert_eq!(ps, t);
+            for &(_, value) in produces.iter().filter(|(ps, _)| *ps == t) {
                 send(port, Msg::User { value })?;
             }
             send(port, Msg::FrameEnd { mtx })?;
-            flush_port(ctrl, epoch, port)?;
+            flush_data(ctrl, epoch, planes, port)?;
         }
+        forwards.clear();
+        targeted_forwards.clear();
+        produces.clear();
 
         // Ring frame for the successor iteration.
         if self.shape.ring_stage() == Some(stage) {
-            let ring_values = std::mem::take(&mut self.ring_produces);
             match self.shape.ring_next(self.worker) {
-                None => self.ring_loopback = ring_values.into(),
+                None => self.ring_loopback.extend(self.ring_produces.drain(..)),
                 Some(dst) => {
                     let next_mtx = MtxId(mtx.0 + 1);
                     let Self {
-                        out, ctrl, epoch, ..
+                        out,
+                        ctrl,
+                        epoch,
+                        planes,
+                        ring_produces,
+                        ..
                     } = self;
                     let port = port_to(out, dst);
                     send(port, Msg::FrameBegin { mtx: next_mtx })?;
-                    for value in ring_values {
+                    for value in ring_produces.drain(..) {
                         send(port, Msg::User { value })?;
                     }
                     send(port, Msg::FrameEnd { mtx: next_mtx })?;
-                    flush_port(ctrl, epoch, port)?;
+                    flush_data(ctrl, epoch, planes, port)?;
                 }
             }
         }
@@ -978,6 +920,7 @@ impl WorkerCtx {
             ring_in_vals,
             ctrl,
             epoch,
+            planes,
             data_timeout,
             ..
         } = self;
@@ -987,21 +930,23 @@ impl WorkerCtx {
             .find(|(id, _)| *id == src)
             .map(|(_, p)| p)
             .unwrap_or_else(|| panic!("no data queue from {src}"));
+        // A ready message is taken at once; only a miss ships the planes
+        // and waits.
+        let mut recv = || match port.try_consume().map_err(classify)? {
+            Some(msg) => Ok(msg),
+            None => wait_shipped(planes, ctrl, epoch, timeout, || {
+                port.try_consume().map_err(classify)
+            }),
+        };
 
-        let first = wait_for_deadline(ctrl, epoch, timeout, || {
-            port.try_consume().map_err(classify)
-        })?;
-        match first {
+        match recv()? {
             Msg::FrameBegin { mtx: m } => {
                 assert_eq!(m, mtx, "frame out of order from {src}: got {m}, want {mtx}")
             }
             other => panic!("expected FrameBegin from {src}, got {other:?}"),
         }
         loop {
-            let msg = wait_for_deadline(ctrl, epoch, timeout, || {
-                port.try_consume().map_err(classify)
-            })?;
-            match msg {
+            match recv()? {
                 Msg::Forward { addr, value } => spec.apply_forwarded(VAddr::from_raw(addr), value),
                 Msg::User { value } => {
                     if is_ring {
@@ -1020,9 +965,13 @@ impl WorkerCtx {
     }
 
     /// Blocks until an interrupt arrives (used when this worker has no
-    /// iterations left under an iteration limit).
+    /// iterations left under an iteration limit). The last subTXs' plane
+    /// records ship here: without them the commit unit could never reach
+    /// the end of the run.
     pub(crate) fn idle_until_interrupt(&mut self) -> Result<(), Interrupt> {
-        wait_for(&self.ctrl, &mut self.epoch, || Ok(None::<()>)).map(|_: ()| ())
+        wait_shipped(&mut self.planes, &self.ctrl, &mut self.epoch, None, || {
+            Ok(None::<()>)
+        })
     }
 
     /// Raises a timeout-driven recovery request on the control plane and
@@ -1030,6 +979,11 @@ impl WorkerCtx {
     /// request, not the raiser, picks the boundary: the commit unit always
     /// recovers at its next commit so no committed-but-unapplied MTX is
     /// lost.
+    ///
+    /// The one worker wait that ships nothing: the round it asks for
+    /// starts at the commit unit's next commit and discards every
+    /// buffered record, and a plane port may be the link that just timed
+    /// out.
     pub(crate) fn request_fault_recovery(&mut self) -> Interrupt {
         self.ctrl.raise_fabric_fault();
         match wait_for(&self.ctrl, &mut self.epoch, || Ok(None::<()>)) {
@@ -1049,14 +1003,11 @@ impl WorkerCtx {
         for (_, port) in &mut self.out {
             port.clear();
         }
-        for port in &mut self.val_out {
-            port.clear();
-        }
-        self.cu_out.clear();
+        self.planes.clear();
         for (_, port) in &mut self.inn {
             port.drain();
         }
-        self.coa_in.drain();
+        self.coa.rx.drain();
         barrier.wait(); // B2: all speculative queue state is gone.
         self.spec.rollback(); // Reinstate heap access protection.
         for q in &mut self.users {
@@ -1078,7 +1029,7 @@ impl WorkerCtx {
         // its whole value across rollbacks — but the epoch view resets so
         // the next fault on every page revalidates over the wire before
         // any local serve.
-        self.coa_epoch = EPOCH_NONE;
+        self.coa.epoch = EPOCH_NONE;
         // Iteration boundary+1's ring producer was re-executed by the
         // commit unit: its executor must re-derive synchronized state
         // from committed memory instead of waiting for a frame.
@@ -1096,9 +1047,9 @@ impl WorkerCtx {
     /// (merged across workers into [`crate::RunReport::valplane`]).
     pub fn valplane(&self) -> ValPlaneStats {
         ValPlaneStats {
-            cache_hits: self.coa_cache.hits(),
-            cache_misses: self.coa_cache.misses(),
-            cache_stale: self.coa_cache.stale(),
+            cache_hits: self.coa.cache.hits(),
+            cache_misses: self.coa.cache.misses(),
+            cache_stale: self.coa.cache.stale(),
             ..self.valplane.clone()
         }
     }
@@ -1130,6 +1081,17 @@ fn send(port: &mut SendPort<Msg>, msg: Msg) -> Result<(), Interrupt> {
     port.produce(msg).map_err(classify)
 }
 
+/// One attempt at shipping a port's buffered values, as a poll step:
+/// `Some(())` once nothing is pending, `None` while the transport is full
+/// or an injected fault consumed the attempt.
+fn try_ship(port: &mut SendPort<Msg>) -> Result<Option<()>, Interrupt> {
+    match port.try_flush() {
+        Ok(true) => Ok(Some(())),
+        Ok(false) | Err(FabricError::Retriable) => Ok(None),
+        Err(e) => Err(classify(e)),
+    }
+}
+
 /// Interruptible flush: retries while the transport is full or an injected
 /// fault consumed the attempt, unwinding on control-plane interrupts, a
 /// dead peer, or retry-budget exhaustion.
@@ -1138,12 +1100,109 @@ pub(crate) fn flush_port(
     epoch: &mut u64,
     port: &mut SendPort<Msg>,
 ) -> Result<(), Interrupt> {
-    wait_for(ctrl, epoch, || match port.try_flush() {
-        Ok(true) => Ok(Some(())),
-        Ok(false) => Ok(None),
-        Err(FabricError::Retriable) => Ok(None),
-        Err(e) => Err(classify(e)),
-    })
+    wait_for(ctrl, epoch, || try_ship(port))
+}
+
+/// The speculation planes a worker feeds: one validation stream per
+/// try-commit shard, and the commit-unit stream (store sets, misspec and
+/// exit events, COA requests).
+///
+/// A subTX's plane records are only queued at its end. They ship when a
+/// batch fills or when the worker next waits, so several subTXs share one
+/// packet. The invariant that keeps this live: **no worker ever blocks
+/// while holding unshipped validation or commit records.** Every worker
+/// wait goes through [`wait_shipped`], which ships both planes first;
+/// the try-commit shards and the commit unit therefore always hold every
+/// record of every subTX a worker has finished, by the time that worker
+/// could be waiting on their progress.
+struct Planes {
+    val_out: Vec<SendPort<Msg>>,
+    cu_out: SendPort<Msg>,
+}
+
+impl Planes {
+    /// Plane records queued but not yet on the wire.
+    fn buffered(&self) -> usize {
+        self.val_out.iter().map(SendPort::buffered).sum::<usize>() + self.cu_out.buffered()
+    }
+
+    /// True when some plane port holds a full batch its transport would
+    /// not take.
+    fn backed_up(&self) -> bool {
+        self.val_out
+            .iter()
+            .chain([&self.cu_out])
+            .any(|port| port.buffered() >= port.batch())
+    }
+
+    /// Ships every queued plane record, waiting (interruptibly) only while
+    /// a transport is full or an injected fault consumed the attempt.
+    fn ship(&mut self, ctrl: &ControlPlane, epoch: &mut u64) -> Result<(), Interrupt> {
+        if self.buffered() == 0 {
+            return Ok(());
+        }
+        wait_for(ctrl, epoch, || {
+            let mut shipped = true;
+            for port in self.val_out.iter_mut().chain([&mut self.cu_out]) {
+                shipped &= try_ship(port)?.is_some();
+            }
+            Ok(shipped.then_some(()))
+        })
+    }
+
+    /// Discards everything queued (§4.3 "flush queues").
+    fn clear(&mut self) {
+        for port in &mut self.val_out {
+            port.clear();
+        }
+        self.cu_out.clear();
+    }
+}
+
+/// The worker's one way to wait: ship both planes, then poll `step` (with
+/// the receive deadline `timeout`) until it yields or the control plane
+/// interrupts.
+fn wait_shipped<T>(
+    planes: &mut Planes,
+    ctrl: &ControlPlane,
+    epoch: &mut u64,
+    timeout: Option<Duration>,
+    step: impl FnMut() -> Result<Option<T>, Interrupt>,
+) -> Result<T, Interrupt> {
+    planes.ship(ctrl, epoch)?;
+    debug_assert_eq!(
+        planes.buffered(),
+        0,
+        "worker waits holding unshipped plane records"
+    );
+    wait_for_deadline(ctrl, epoch, timeout, step)
+}
+
+/// Flushes a data or ring frame; if the transport is full, the planes
+/// ship before the worker waits for room.
+fn flush_data(
+    ctrl: &ControlPlane,
+    epoch: &mut u64,
+    planes: &mut Planes,
+    port: &mut SendPort<Msg>,
+) -> Result<(), Interrupt> {
+    if try_ship(port)?.is_some() {
+        return Ok(());
+    }
+    wait_shipped(planes, ctrl, epoch, None, || try_ship(port))
+}
+
+/// Takes a packed block out for shipping, leaving an empty one sized from
+/// it (so the next subTX's pushes do not re-grow three vectors from
+/// nothing), and books it in the compaction counters.
+fn ship_block(valplane: &mut ValPlaneStats, block: &mut AccessBlock) -> Box<AccessBlock> {
+    let next = block.empty_like();
+    let block = Box::new(std::mem::replace(block, next));
+    valplane.records_post += 1;
+    valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
+    valplane.blocks += 1;
+    valplane.block_records += u64::from(block.len());
+    block
 }
 
 fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendPort<Msg> {
@@ -1154,69 +1213,124 @@ fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendP
         .unwrap_or_else(|| panic!("no data queue to {dst}"))
 }
 
-/// One Copy-On-Access round trip: request the page from the commit unit
-/// and wait for the reply (at most one outstanding request per worker, so
-/// replies arrive in request order).
-///
-/// With compaction on, the epoch-tagged page cache short-circuits the
-/// trip entirely when the cached copy carries the newest epoch this
-/// worker has seen, and otherwise advertises the cached tag so the commit
-/// unit can answer with a payload-free [`Msg::CoaFresh`] revalidation.
-/// Either way the worker's speculative memory receives a copy of the
-/// committed page — the cache retains its own pristine clone.
-#[allow(clippy::too_many_arguments)]
-fn coa_fetch(
-    cu_out: &mut SendPort<Msg>,
-    coa_in: &mut RecvPort<Msg>,
-    ctrl: &ControlPlane,
-    epoch: &mut u64,
-    timeout: Option<Duration>,
-    cache: &mut PageCache,
-    coa_epoch: &mut u64,
+/// Pages one COA miss asks for: the faulting page plus the pages after it
+/// that the cache does not hold, up to this many in all ("page granularity
+/// doubles as prefetching", §4.2).
+const COA_RUN: u64 = 4;
+
+/// A worker's Copy-On-Access client.
+struct Coa {
+    /// Replies from the commit unit, in request order.
+    rx: RecvPort<Msg>,
+    /// Epoch-tagged committed pages retained across rollbacks.
+    cache: PageCache,
+    /// Newest commit epoch observed on a COA reply; [`EPOCH_NONE`] until
+    /// the first reply and right after a recovery (which forces the next
+    /// fault on every page back over the wire for revalidation).
+    epoch: u64,
+    /// The page cache (and with it page runs) is on; off in the legacy
+    /// unpacked protocol.
     use_cache: bool,
-    page: PageId,
-) -> Result<Page, Interrupt> {
-    let have = if use_cache {
-        let have = cache.epoch_of(page);
-        if have.is_some() && have == Some(*coa_epoch) && *coa_epoch != EPOCH_NONE {
-            // The copy was (re)validated at the newest epoch this worker
-            // has observed: serve it locally. It can lag the commit
-            // unit's current image, but only within the freshness window
-            // every COA fetch already has — value validation catches any
-            // resulting misspeculation.
-            return Ok(cache.serve(page));
-        }
-        have.unwrap_or(EPOCH_NONE)
-    } else {
-        EPOCH_NONE
-    };
-    cu_out
-        .produce(Msg::CoaRequest { page: page.0, have })
-        .map_err(classify)?;
-    flush_port(ctrl, epoch, cu_out)?;
-    let reply = wait_for_deadline(ctrl, epoch, timeout, || {
-        coa_in.try_consume().map_err(classify)
-    })?;
-    match reply {
-        Msg::CoaReply {
-            page: p,
-            epoch: e,
-            data,
-        } => {
-            assert_eq!(p, page.0, "out-of-order COA reply");
-            if use_cache {
-                *coa_epoch = e;
-                cache.install(page, e, (*data).clone());
+    /// Receive deadline under fault injection.
+    timeout: Option<Duration>,
+}
+
+impl Coa {
+    /// One Copy-On-Access round trip for `page`: request it from the
+    /// commit unit and wait for the reply. The worker has at most one
+    /// trip outstanding, so replies arrive in request order.
+    ///
+    /// With the cache on, the trip is skipped when the cached copy
+    /// carries the newest epoch this worker has seen; otherwise the
+    /// request advertises the cached tag so the commit unit can answer
+    /// with a payload-free [`Msg::CoaFresh`] revalidation. The same trip
+    /// also asks for the following pages of the run that the cache does
+    /// not hold; they are installed with their reply epoch, so the next
+    /// faults on them take the local-serve path under the same rule.
+    /// Either way the worker's speculative memory receives a copy of the
+    /// committed page — the cache retains its own pristine clone.
+    fn fetch(
+        &mut self,
+        planes: &mut Planes,
+        ctrl: &ControlPlane,
+        epoch: &mut u64,
+        page: PageId,
+    ) -> Result<Page, Interrupt> {
+        let have = if self.use_cache {
+            let have = self.cache.epoch_of(page);
+            if have.is_some() && have == Some(self.epoch) && self.epoch != EPOCH_NONE {
+                // The copy was (re)validated at the newest epoch this
+                // worker has observed: serve it locally. It can lag the
+                // commit unit's current image, but only within the
+                // freshness window every COA fetch already has — value
+                // validation catches any resulting misspeculation.
+                return Ok(self.cache.serve(page));
             }
-            Ok(*data)
+            have
+        } else {
+            None
+        };
+        let ahead = (page.0 + 1..page.0 + COA_RUN)
+            .map(PageId)
+            .filter(|&p| self.use_cache && self.cache.epoch_of(p).is_none())
+            .map(|p| (p, EPOCH_NONE));
+        let mut run = 0;
+        for (p, have) in std::iter::once((page, have.unwrap_or(EPOCH_NONE))).chain(ahead) {
+            send(&mut planes.cu_out, Msg::CoaRequest { page: p.0, have })?;
+            run += 1;
         }
-        Msg::CoaFresh { page: p, epoch: e } => {
-            assert_eq!(p, page.0, "out-of-order COA reply");
-            assert!(use_cache, "CoaFresh for a request that advertised no copy");
-            *coa_epoch = e;
-            Ok(cache.revalidate(page, e))
+        let data = match self.recv(planes, ctrl, epoch)? {
+            Msg::CoaReply {
+                page: p,
+                epoch: e,
+                data,
+            } => {
+                assert_eq!(p, page.0, "out-of-order COA reply");
+                if self.use_cache {
+                    self.epoch = e;
+                    self.cache.install(page, e, (*data).clone());
+                }
+                *data
+            }
+            Msg::CoaFresh { page: p, epoch: e } => {
+                assert_eq!(p, page.0, "out-of-order COA reply");
+                assert!(
+                    have.is_some(),
+                    "CoaFresh for a request that advertised no copy"
+                );
+                self.epoch = e;
+                self.cache.revalidate(page, e)
+            }
+            other => panic!("expected CoaReply, got {other:?}"),
+        };
+        for _ in 1..run {
+            match self.recv(planes, ctrl, epoch)? {
+                Msg::CoaReply {
+                    page: p,
+                    epoch: e,
+                    data,
+                } => {
+                    // Replies come in request order and the commit epoch
+                    // only grows, so the last reply carries the newest.
+                    self.epoch = e;
+                    self.cache.install(PageId(p), e, *data);
+                }
+                other => panic!("expected CoaReply for a page run, got {other:?}"),
+            }
         }
-        other => panic!("expected CoaReply, got {other:?}"),
+        Ok(data)
+    }
+
+    fn recv(
+        &mut self,
+        planes: &mut Planes,
+        ctrl: &ControlPlane,
+        epoch: &mut u64,
+    ) -> Result<Msg, Interrupt> {
+        let rx = &mut self.rx;
+        wait_shipped(planes, ctrl, epoch, self.timeout, || {
+            rx.try_consume().map_err(classify)
+        })
     }
 }
 
@@ -1329,6 +1443,187 @@ mod tests {
         assert_eq!(classify(FabricError::Timeout), Interrupt::FabricTimeout);
         assert_eq!(classify(FabricError::Disconnected), Interrupt::ChannelDown);
         assert_eq!(classify(FabricError::Retriable), Interrupt::ChannelDown);
+    }
+
+    /// A COA client wired to in-memory queues: returns the client, its
+    /// planes, the sender the test answers on, and the receiver that sees
+    /// the client's requests.
+    fn coa_client() -> (Coa, Planes, SendPort<Msg>, RecvPort<Msg>) {
+        let (cu_out, requests) = channel::<Msg>(64, 16);
+        let (replies, rx) = channel::<Msg>(1, 16);
+        let coa = Coa {
+            rx,
+            cache: PageCache::new(),
+            epoch: EPOCH_NONE,
+            use_cache: true,
+            timeout: None,
+        };
+        let planes = Planes {
+            val_out: Vec::new(),
+            cu_out,
+        };
+        (coa, planes, replies, requests)
+    }
+
+    fn marked(word: u64) -> Page {
+        let mut p = Page::zeroed();
+        p.set_word(0, word);
+        p
+    }
+
+    fn reply(page: u64, epoch: u64, data: Page) -> Msg {
+        Msg::CoaReply {
+            page,
+            epoch,
+            data: Box::new(data),
+        }
+    }
+
+    /// Every `(page, have)` request the client has sent.
+    fn requests_sent(rx: &mut RecvPort<Msg>) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        while let Some(msg) = rx.try_consume().unwrap() {
+            match msg {
+                Msg::CoaRequest { page, have } => out.push((page, have)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn coa_miss_fetches_a_run_and_the_next_faults_are_local_hits() {
+        let ctrl = ControlPlane::new(1);
+        let mut epoch = ctrl.epoch();
+        let (mut coa, mut planes, mut replies, mut requests) = coa_client();
+        // Page 102 is already cached (from an earlier trip): the run skips
+        // it and takes 103 instead of stopping.
+        coa.cache.install(PageId(102), 1, marked(1102));
+        for p in [100, 101, 103] {
+            replies.produce(reply(p, 3, marked(p))).unwrap();
+        }
+        let page = coa
+            .fetch(&mut planes, &ctrl, &mut epoch, PageId(100))
+            .unwrap();
+        assert_eq!(page.word(0), 100);
+        assert_eq!(
+            requests_sent(&mut requests),
+            vec![(100, EPOCH_NONE), (101, EPOCH_NONE), (103, EPOCH_NONE)],
+            "one trip asks for the faulting page and the uncached rest of its run"
+        );
+        assert_eq!(coa.epoch, 3);
+
+        for p in [101, 103] {
+            let page = coa
+                .fetch(&mut planes, &ctrl, &mut epoch, PageId(p))
+                .unwrap();
+            assert_eq!(page.word(0), p, "prefetched copy of page {p}");
+        }
+        assert_eq!(requests_sent(&mut requests), vec![], "no new CoaRequest");
+        assert_eq!(planes.buffered(), 0);
+        assert_eq!((coa.cache.hits(), coa.cache.misses()), (2, 4));
+    }
+
+    #[test]
+    fn a_page_committed_after_its_prefetch_is_not_served_locally() {
+        let ctrl = ControlPlane::new(1);
+        let mut epoch = ctrl.epoch();
+        let (mut coa, mut planes, mut replies, mut requests) = coa_client();
+        // Miss on 100 at epoch 3 prefetches 101..=103.
+        for p in 100..104 {
+            replies.produce(reply(p, 3, marked(p))).unwrap();
+        }
+        coa.fetch(&mut planes, &ctrl, &mut epoch, PageId(100))
+            .unwrap();
+        // A later trip observes epoch 5: commits happened since the
+        // prefetch, one of them to page 101.
+        for p in 200..204 {
+            replies.produce(reply(p, 5, marked(p))).unwrap();
+        }
+        coa.fetch(&mut planes, &ctrl, &mut epoch, PageId(200))
+            .unwrap();
+        requests_sent(&mut requests);
+
+        // The copy of 101 is tagged 3, older than the newest epoch seen:
+        // it must be revalidated over the wire, and the commit unit ships
+        // the newer page.
+        replies.produce(reply(101, 5, marked(7101))).unwrap();
+        replies.produce(reply(104, 5, marked(104))).unwrap();
+        let page = coa
+            .fetch(&mut planes, &ctrl, &mut epoch, PageId(101))
+            .unwrap();
+        assert_eq!(page.word(0), 7101, "the committed page, not the prefetch");
+        assert_eq!(
+            requests_sent(&mut requests),
+            vec![(101, 3), (104, EPOCH_NONE)]
+        );
+        // Page 102 was not committed to: a payload-free revalidation
+        // serves the prefetched copy (and the run takes uncached 105).
+        replies
+            .produce(Msg::CoaFresh {
+                page: 102,
+                epoch: 5,
+            })
+            .unwrap();
+        replies.produce(reply(105, 5, marked(105))).unwrap();
+        let page = coa
+            .fetch(&mut planes, &ctrl, &mut epoch, PageId(102))
+            .unwrap();
+        assert_eq!(page.word(0), 102);
+        assert_eq!(
+            requests_sent(&mut requests),
+            vec![(102, 3), (105, EPOCH_NONE)]
+        );
+    }
+
+    #[test]
+    fn without_the_cache_a_miss_fetches_one_page() {
+        let ctrl = ControlPlane::new(1);
+        let mut epoch = ctrl.epoch();
+        let (mut coa, mut planes, mut replies, mut requests) = coa_client();
+        coa.use_cache = false;
+        replies.produce(reply(100, 3, marked(100))).unwrap();
+        let page = coa
+            .fetch(&mut planes, &ctrl, &mut epoch, PageId(100))
+            .unwrap();
+        assert_eq!(page.word(0), 100);
+        assert_eq!(requests_sent(&mut requests), vec![(100, EPOCH_NONE)]);
+        assert!(coa.cache.is_empty());
+    }
+
+    #[test]
+    fn ship_empties_every_plane_and_backed_up_sees_a_refused_batch() {
+        let ctrl = ControlPlane::new(1);
+        let mut epoch = ctrl.epoch();
+        let (v0, mut r0) = channel::<Msg>(4, 1);
+        let (cu_out, mut rc) = channel::<Msg>(4, 1);
+        let mut planes = Planes {
+            val_out: vec![v0],
+            cu_out,
+        };
+        let ping = |mtx| Msg::FrameEnd { mtx: MtxId(mtx) };
+        for i in 0..3 {
+            send(&mut planes.val_out[0], ping(i)).unwrap();
+            send(&mut planes.cu_out, ping(i)).unwrap();
+        }
+        assert!(!planes.backed_up());
+        assert_eq!(planes.buffered(), 6);
+        planes.ship(&ctrl, &mut epoch).unwrap();
+        assert_eq!(planes.buffered(), 0);
+        // The one-packet transport is now full: the next full batch is
+        // refused and stays queued.
+        for i in 0..4 {
+            send(&mut planes.val_out[0], ping(i)).unwrap();
+        }
+        assert!(planes.backed_up());
+        let mut seen = 0;
+        while r0.try_consume().unwrap().is_some() {
+            seen += 1;
+        }
+        assert_eq!(seen, 3, "the first packet");
+        planes.ship(&ctrl, &mut epoch).unwrap();
+        assert!(!planes.backed_up());
+        while rc.try_consume().unwrap().is_some() {}
     }
 
     fn rec(kind: AccessKind, addr: u64, value: u64) -> AccessRecord {

@@ -548,28 +548,6 @@ impl<T> RecvPort<T> {
         }
     }
 
-    /// Blocks for at most `timeout`, polling for a value.
-    ///
-    /// # Errors
-    ///
-    /// * [`FabricError::Timeout`] when the deadline passes with no data.
-    /// * Same conditions as [`RecvPort::consume`] otherwise.
-    pub fn consume_deadline(&mut self, timeout: Duration) -> Result<T> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_consume()? {
-                Some(v) => return Ok(v),
-                None => {
-                    if Instant::now() >= deadline {
-                        self.stats.record_recv_timeout();
-                        return Err(FabricError::Timeout);
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
-    }
-
     /// Accepts one in-order batch into the delivery buffer and sends the
     /// emptied buffer home for reuse.
     fn accept(&mut self, mut batch: Vec<T>) {
@@ -1268,22 +1246,6 @@ mod fault_tests {
             seen.push(v);
         }
         assert_eq!(seen, vec![7, 8, 9, 10]);
-    }
-
-    #[test]
-    fn consume_deadline_times_out_on_silence() {
-        let stats = FabricStats::new();
-        let (_tx, mut rx) = channel_with::<u32>(1, 4, CostModel::FREE, stats.clone());
-        let err = rx.consume_deadline(Duration::from_millis(5)).unwrap_err();
-        assert_eq!(err, FabricError::Timeout);
-        assert_eq!(stats.recv_timeouts(), 1);
-    }
-
-    #[test]
-    fn consume_deadline_returns_data_when_present() {
-        let (mut tx, mut rx) = channel::<u32>(1, 4);
-        tx.produce(42).unwrap();
-        assert_eq!(rx.consume_deadline(Duration::from_millis(50)).unwrap(), 42);
     }
 
     #[test]

@@ -193,6 +193,15 @@ impl SpecMem {
         std::mem::take(&mut self.log)
     }
 
+    /// Gives a drained log's buffer back, so the next subTX logs into it
+    /// without re-growing from nothing. Anything logged since the drain
+    /// is kept, in order.
+    pub fn recycle_log(&mut self, mut log: Vec<AccessRecord>) {
+        log.clear();
+        log.append(&mut self.log);
+        self.log = log;
+    }
+
     /// Views the access log without draining.
     pub fn log(&self) -> &[AccessRecord] {
         &self.log
@@ -285,6 +294,21 @@ mod tests {
         assert_eq!(log[2].kind, AccessKind::Load);
         assert_eq!(log[2].value, 5);
         assert!(m.log().is_empty());
+    }
+
+    #[test]
+    fn recycled_log_keeps_its_capacity_and_later_records() {
+        let mut m = SpecMem::new();
+        for i in 0..100 {
+            m.write(a(8 * i), i, zero_fetch).unwrap();
+        }
+        let log = m.drain_log();
+        let cap = log.capacity();
+        m.read(a(8), zero_fetch).unwrap();
+        m.recycle_log(log);
+        assert_eq!(m.log().len(), 1, "the record logged after the drain");
+        assert_eq!(m.log()[0].kind, AccessKind::Load);
+        assert_eq!(m.drain_log().capacity(), cap);
     }
 
     #[test]
